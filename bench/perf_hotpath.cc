@@ -8,13 +8,11 @@
  *
  *  1. probe: per-line event-probability queries in the access pattern
  *     of the ECC monitors (a small working set of weak lines revisited
- *     across a voltage grid). Measured three ways — through the
- *     production LUT path (lineEventProbabilities), through the
- *     vectorized no-LUT recompute (lineEventProbabilitiesVec: one
- *     simd::normalCdfBatch per line), and through a reference
- *     reimplementation of the pre-LUT cost (copy-returning weak-cell
- *     range query + per-cell normalCdf fold on every call). The ratios
- *     are the speedups the span index + LUT and the SIMD lanes buy.
+ *     across a voltage grid). Measured two ways — through the
+ *     production LUT path (lineEventProbabilities) and through a
+ *     reference reimplementation of the pre-LUT cost (copy-returning
+ *     weak-cell range query + per-cell normalCdf fold on every call).
+ *     The ratio is the speedup the span index + LUT buy.
  *  2. sweep: full data calibration sweeps of one L2D array — naive
  *     reference, current exact, SamplingMode::batched, and the
  *     chip-batched aggregate path (two draws per pass over cached
@@ -221,24 +219,7 @@ main(int argc, char **argv)
     });
     measures.push_back({"probe_lut", lut_ms, probe_calls});
 
-    double checksum_simd = 0.0;
-    const double simd_ms = medianMs([&] {
-        for (unsigned it = 0; it < probeIters; ++it) {
-            for (const WeakLineInfo &line : lines) {
-                for (const Millivolt v : grid) {
-                    double pc = 0.0, pu = 0.0;
-                    l2d.lineEventProbabilitiesVec(line.set, line.way, v,
-                                                  pc, pu);
-                    checksum_simd += pc + pu;
-                }
-            }
-        }
-    });
-    measures.push_back({"probe_simd", simd_ms, probe_calls});
-
-    // The LUT path must be numerically identical to the reference; the
-    // vectorized path uses West's Phi instead of libm erfc, so it only
-    // has to agree to the CDF approximation's accuracy.
+    // The LUT path must be numerically identical to the reference.
     max_abs_err = std::abs(checksum_naive - checksum_lut);
     if (max_abs_err > 1e-9 * std::max(1.0, std::abs(checksum_naive))) {
         std::fprintf(stderr,
@@ -247,17 +228,8 @@ main(int argc, char **argv)
                      checksum_lut, checksum_naive);
         return 1;
     }
-    if (std::abs(checksum_naive - checksum_simd) >
-        1e-6 * std::max(1.0, std::abs(checksum_naive))) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD probe path diverged from reference "
-                     "(%.17g vs %.17g)\n",
-                     checksum_simd, checksum_naive);
-        return 1;
-    }
 
     const double probe_speedup = naive_ms / std::max(lut_ms, 1e-6);
-    const double probe_simd_speedup = naive_ms / std::max(simd_ms, 1e-6);
 
     // ---------------------------------------------------------------
     // Section 2: calibration data sweep — pre-optimization reference
@@ -456,7 +428,6 @@ main(int argc, char **argv)
         doc.endArray();
         doc.key("speedups").beginObject();
         doc.key("probeLutVsNaive").value(probe_speedup);
-        doc.key("probeSimdVsNaive").value(probe_simd_speedup);
         doc.key("sweepExactVsNaive").value(sweep_exact_speedup);
         doc.key("sweepBatchedVsNaive").value(sweep_speedup);
         doc.key("sweepVectorizedVsNaive").value(sweep_vec_speedup);
@@ -486,11 +457,11 @@ main(int argc, char **argv)
                                              m.work, 1)));
         }
         std::printf("\nspeedups vs pre-optimization reference: probe LUT "
-                    "%.1fx, probe SIMD %.1fx, sweep exact %.1fx, sweep "
+                    "%.1fx, sweep exact %.1fx, sweep "
                     "batched %.1fx, sweep vectorized %.1fx; fleet "
                     "batched vs exact %.1fx, fleet chip-batched vs "
                     "exact %.1fx [%s]\n",
-                    probe_speedup, probe_simd_speedup,
+                    probe_speedup,
                     sweep_exact_speedup, sweep_speedup, sweep_vec_speedup,
                     fleet_speedup, fleet_chip_speedup,
                     simd::backendName());

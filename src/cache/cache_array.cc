@@ -370,30 +370,6 @@ CacheArray::foldSpanProbabilities(const WeakCell *first,
 }
 
 void
-CacheArray::lineEventProbabilitiesVec(std::uint64_t set, unsigned way,
-                                      Millivolt v_eff,
-                                      double &p_correctable,
-                                      double &p_uncorrectable) const
-{
-    const WeakCellSpan span = lineWeakSpan(set, way);
-    if (span.empty()) {
-        p_correctable = 0.0;
-        p_uncorrectable = 0.0;
-        return;
-    }
-    const double sigma = cells.distribution().sigmaDynamic;
-    zScratch.resize(span.size());
-    for (std::size_t i = 0; i < span.size(); ++i)
-        zScratch[i] = (span[i].vc - v_eff) / sigma;
-    phiScratch.resize(span.size());
-    simd::normalCdfBatch(zScratch.data(), zScratch.size(),
-                         phiScratch.data());
-    foldSpanProbabilities(span.begin(), span.end(), phiScratch.data(),
-                          lineCellBase(set, way), p_correctable,
-                          p_uncorrectable);
-}
-
-void
 CacheArray::aggregateEventRates(Millivolt v_eff, double &sum_correctable,
                                 double &sum_uncorrectable) const
 {

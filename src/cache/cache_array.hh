@@ -151,18 +151,6 @@ class CacheArray
                                          double &p_uncorrectable) const;
 
     /**
-     * Vectorized no-LUT recompute of one line's event probabilities:
-     * all the line's z-scores go through one simd::normalCdfBatch call
-     * (West's Phi, not libm erfc) before the per-word fold. Not
-     * numerically interchangeable with lineEventProbabilities — this is
-     * the probe path of the vectorized sampling modes and the
-     * probe_simd bench lane. Byte-identical across SIMD backends.
-     */
-    void lineEventProbabilitiesVec(std::uint64_t set, unsigned way,
-                                   Millivolt v_eff, double &p_correctable,
-                                   double &p_uncorrectable) const;
-
-    /**
      * Whole-array aggregate event rates at the bucket center of
      * v_eff's quantization bucket: the sum over every weak line of the
      * per-access expected correctable events and of the per-access
@@ -170,8 +158,8 @@ class CacheArray
      * core traffic model's batched accumulation). Backed by a small
      * per-bucket cache invalidated by the SRAM generation, so a
      * steady-rail sweep costs two loads per pass instead of a walk
-     * over every weak line. The fill is the vectorized fold above —
-     * one normalCdfBatch over the entire weak-cell population.
+     * over every weak line. The fill is a vectorized fold — one
+     * normalCdfBatch over the entire weak-cell population.
      */
     void aggregateEventRates(Millivolt v_eff, double &sum_correctable,
                              double &sum_uncorrectable) const;
@@ -378,7 +366,7 @@ class CacheArray
     /**
      * The same per-word fold over cells [first, last) with failure
      * probabilities already evaluated into @p probs (one per cell).
-     * Shared by the vectorized per-line and whole-array paths.
+     * Used by the vectorized whole-array path.
      */
     void foldSpanProbabilities(const WeakCell *first, const WeakCell *last,
                                const double *probs, std::uint64_t base,

@@ -294,8 +294,6 @@ FleetNode::enterQuarantine()
         chip_->core(c).setWorkload(std::make_shared<IdleWorkload>(),
                                    now);
     }
-    health_ = std::uint8_t(ChipHealth::quarantined);
-    healthTimer_ = cfg->health.quarantineHold;
     ++quarantines_;
 }
 
@@ -303,56 +301,21 @@ void
 FleetNode::advanceHealth(Seconds slice, std::uint64_t slice_recoveries)
 {
     const HealthConfig &hc = cfg->health;
-    const double decay = std::exp(-slice / hc.windowTau);
-    recoveryWindow_ = recoveryWindow_ * decay +
-                      (1.0 - decay) * (double(slice_recoveries) / slice);
+    const ChipHealth state = health_;
+    const HealthStep next = stepHealth(
+        hc, state, healthTimer_, recoveryWindow_,
+        double(slice_recoveries) / slice, slice,
+        std::exp(-slice / hc.windowTau));
+    health_ = next.state;
+    healthTimer_ = next.timer;
+    recoveryWindow_ = next.window;
 
-    switch (ChipHealth(health_)) {
-      case ChipHealth::quarantined:
+    if (!healthSchedulable(state))
         offlineTime_ += double(chip_->numCores()) * slice;
-        healthTimer_ -= slice;
-        if (healthTimer_ <= 0.0) {
-            health_ = std::uint8_t(ChipHealth::selfTesting);
-            healthTimer_ = hc.selfTestDuration;
-        }
-        break;
-      case ChipHealth::selfTesting:
-        offlineTime_ += double(chip_->numCores()) * slice;
-        healthTimer_ -= slice;
-        if (healthTimer_ <= 0.0) {
-            if (recoveryWindow_ >= hc.degradeRate) {
-                // Still noisy: run the self-test again.
-                healthTimer_ = hc.selfTestDuration;
-            } else {
-                health_ = std::uint8_t(ChipHealth::probation);
-                healthTimer_ = hc.probationDuration;
-                ++readmissions_;
-            }
-        }
-        break;
-      case ChipHealth::probation:
-        if (slice_recoveries > 0) {
-            // Any recovery during probation sends the chip straight
-            // back to quarantine.
-            enterQuarantine();
-            break;
-        }
-        healthTimer_ -= slice;
-        if (healthTimer_ <= 0.0)
-            health_ = std::uint8_t(ChipHealth::healthy);
-        break;
-      case ChipHealth::healthy:
-      case ChipHealth::degraded:
-        if (recoveryWindow_ >= hc.quarantineRate) {
-            enterQuarantine();
-        } else if (ChipHealth(health_) == ChipHealth::degraded &&
-                   recoveryWindow_ < hc.healthyRate) {
-            health_ = std::uint8_t(ChipHealth::healthy);
-        } else if (recoveryWindow_ >= hc.degradeRate) {
-            health_ = std::uint8_t(ChipHealth::degraded);
-        }
-        break;
-    }
+    if (next.event == HealthEvent::readmit)
+        ++readmissions_;
+    else if (next.event == HealthEvent::quarantine)
+        enterQuarantine();
 }
 
 std::vector<Job>
@@ -415,6 +378,9 @@ Fleet::Fleet(const FleetConfig &config)
         fatal("Fleet needs at least one chip");
     if (cfg.slice <= 0.0 || cfg.tick <= 0.0 || cfg.slice < cfg.tick)
         fatal("Fleet needs 0 < tick <= slice");
+    if (cfg.riskTau <= 0.0)
+        fatal("Fleet risk tau must be positive");
+    validate(cfg.health);
     if (cfg.chaos.armed()) {
         chaos_ = std::make_unique<FleetFaultInjector>(
             cfg.chaos, cfg.seed, cfg.numChips);
@@ -770,7 +736,7 @@ FleetNode::saveState(StateWriter &w) const
     w.putDouble(powerMark.elapsed);
 
     // Format v4: the node's health FSM.
-    w.putU64(health_);
+    w.putU64(std::uint64_t(health_));
     w.putDouble(recoveryWindow_);
     w.putDouble(healthTimer_);
     w.putU64(quarantines_);
@@ -827,10 +793,7 @@ FleetNode::loadState(StateReader &r)
     powerMark.energy = r.getDouble();
     powerMark.elapsed = r.getDouble();
 
-    const std::uint64_t health = r.getU64();
-    if (health > std::uint64_t(ChipHealth::probation))
-        throw SnapshotError("invalid chip health state in snapshot");
-    health_ = std::uint8_t(health);
+    health_ = decodeChipHealth(r.getU64());
     recoveryWindow_ = r.getDouble();
     healthTimer_ = r.getDouble();
     quarantines_ = r.getU64();

@@ -127,8 +127,9 @@ struct FleetConfig
      */
     FleetChaosConfig chaos;
     /** Chip health lifecycle, driven by the windowed recovery rate:
-     *  quarantine (drain via the requeue path), self-test at nominal
-     *  Vdd, probationary re-admission. Disabled by default. */
+     *  quarantine (drain via the requeue path), self-test as a timed
+     *  offline hold (no rail boost), probationary re-admission.
+     *  Disabled by default. */
     HealthConfig health;
 
     /** Benchmark-phase length of the workload a resident job runs. */
@@ -207,7 +208,7 @@ class FleetNode
     std::vector<Job> takeRequeued();
 
     /** Health FSM state (healthy unless FleetConfig::health.enabled). */
-    ChipHealth health() const { return ChipHealth(health_); }
+    ChipHealth health() const { return health_; }
     /** True while the node takes no placements (health FSM). */
     bool offline() const { return !healthSchedulable(health()); }
     /** Windowed recovery-rate estimate driving the health FSM (1/s). */
@@ -295,7 +296,7 @@ class FleetNode
 
     /** Health FSM: state, windowed recovery-rate EWMA and the phase
      *  timer, advanced node-locally at the end of each advance(). */
-    std::uint8_t health_ = 0;
+    ChipHealth health_ = ChipHealth::healthy;
     double recoveryWindow_ = 0.0;
     Seconds healthTimer_ = 0.0;
     std::uint64_t quarantines_ = 0;
@@ -303,10 +304,11 @@ class FleetNode
     Seconds offlineTime_ = 0.0;
     Seconds drainedWork_ = 0.0;
 
-    /** Quarantine entry: drain resident jobs into the requeue buffer
-     *  and start the hold timer. */
+    /** Quarantine side effects: drain resident jobs into the requeue
+     *  buffer. */
     void enterQuarantine();
-    /** One health-FSM step, fed this slice's recovery count. */
+    /** One shared health step (stepHealth) fed this slice's recovery
+     *  count, plus its side effects on this node. */
     void advanceHealth(Seconds slice, std::uint64_t slice_recoveries);
 
     /**

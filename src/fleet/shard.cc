@@ -53,20 +53,7 @@ ShardedFleet::ShardedFleet(const ScaleFleetConfig &config)
     if (m.corrRateAtMinSafe < 0.0 || m.dueRateAtMinSafe < 0.0 ||
         m.recoveryPenalty < 0.0)
         fatal("ScaleChipModel rates must be non-negative");
-    const HealthConfig &hc = cfg.health;
-    if (hc.enabled) {
-        if (hc.windowTau <= 0.0)
-            fatal("HealthConfig window tau must be positive");
-        if (hc.quarantineHold <= 0.0 || hc.selfTestDuration <= 0.0 ||
-            hc.probationDuration <= 0.0)
-            fatal("HealthConfig state durations must be positive");
-        if (hc.healthyRate > hc.degradeRate ||
-            hc.degradeRate > hc.quarantineRate)
-            fatal("HealthConfig thresholds must satisfy healthyRate "
-                  "<= degradeRate <= quarantineRate");
-        if (hc.selfTestBoostMv < 0.0)
-            fatal("HealthConfig self-test boost must be non-negative");
-    }
+    validate(cfg.health);
     if (cfg.retryWatchdog <= 0.0)
         fatal("ShardedFleet retry watchdog must be positive");
     if (cfg.hedgeLoserFraction < 0.0 || cfg.hedgeLoserFraction > 1.0)
@@ -84,7 +71,7 @@ ShardedFleet::ShardedFleet(const ScaleFleetConfig &config)
     energyJ_.assign(n, 0.0);
     energyMark_.assign(n, 0.0);
     holdoff_.assign(n, 0);
-    health_.assign(n, std::uint8_t(ChipHealth::healthy));
+    health_.assign(n, ChipHealth::healthy);
     dueWindow_.assign(n, 0.0);
     healthTimer_.assign(n, 0.0);
 
@@ -167,8 +154,6 @@ ShardedFleet::enterQuarantine(Shard &shard, unsigned i)
     if (backlog_[i] > 0.0)
         ++shard.drainEvents;
     backlog_[i] = 0.0;
-    health_[i] = std::uint8_t(ChipHealth::quarantined);
-    healthTimer_[i] = cfg.health.quarantineHold;
     railMv_[i] = cfg.chip.nominalVdd;
     holdoff_[i] = cfg.chip.holdSlices;
     ++shard.quarantines;
@@ -187,50 +172,43 @@ ShardedFleet::applyChipSlice(Shard &shard, unsigned i,
     const HealthConfig &hc = cfg.health;
 
     risk_[i] *= risk_decay;
-
-    if (hc.enabled) {
-        // Windowed DUE rate: the EWMA the health FSM thresholds read.
-        dueWindow_[i] = dueWindow_[i] * window_decay +
-                        (1.0 - window_decay) * (double(dues) / slice);
-    }
     if (chaos_ && dues > 0)
         creditDomains(shard, i, dues, 0, 0.0);
 
-    const ChipHealth state = ChipHealth(health_[i]);
-    if (state == ChipHealth::quarantined ||
-        state == ChipHealth::selfTesting) {
+    // The health step reads the windowed DUE rate; its side effects
+    // land below, in slice order (readmission before the offline
+    // power integral, quarantine after the online queue drain).
+    const ChipHealth state = health_[i];
+    HealthEvent event = HealthEvent::none;
+    if (hc.enabled) {
+        const HealthStep next =
+            stepHealth(hc, state, healthTimer_[i], dueWindow_[i],
+                       double(dues) / slice, slice, window_decay);
+        health_[i] = next.state;
+        healthTimer_[i] = next.timer;
+        dueWindow_[i] = next.window;
+        event = next.event;
+    }
+
+    if (!healthSchedulable(state)) {
         // Offline: drained of work, closed to placement. The drain
         // park rides at nominal; the firmware self-test runs every
         // core busy at nominal + boost. ECC events cause no recovery
         // (there is no workload to replay) — they only feed the
         // windowed rate that gates re-admission, so a storm that
         // outlasts the self-test keeps the chip inside.
-        healthTimer_[i] -= slice;
-        double util = 0.0;
-        if (state == ChipHealth::quarantined) {
+        const bool self_test = state == ChipHealth::selfTesting;
+        railMv_[i] = self_test ? m.nominalVdd + hc.selfTestBoostMv
+                               : m.nominalVdd;
+        const double util = self_test ? 1.0 : 0.0;
+        if (event == HealthEvent::readmit) {
+            // Probationary earned-floor reset: re-admitted capacity
+            // re-earns its depth from scratch.
+            earnedFloorMv_[i] = m.nominalVdd;
             railMv_[i] = m.nominalVdd;
-            if (healthTimer_[i] <= 0.0) {
-                health_[i] = std::uint8_t(ChipHealth::selfTesting);
-                healthTimer_[i] = hc.selfTestDuration;
-            }
-        } else {
-            railMv_[i] = m.nominalVdd + hc.selfTestBoostMv;
-            util = 1.0;
-            if (healthTimer_[i] <= 0.0) {
-                if (dueWindow_[i] >= hc.degradeRate) {
-                    healthTimer_[i] = hc.selfTestDuration;
-                } else {
-                    health_[i] = std::uint8_t(ChipHealth::probation);
-                    healthTimer_[i] = hc.probationDuration;
-                    // Probationary earned-floor reset: re-admitted
-                    // capacity re-earns its depth from scratch.
-                    earnedFloorMv_[i] = m.nominalVdd;
-                    railMv_[i] = m.nominalVdd;
-                    holdoff_[i] = m.holdSlices;
-                    risk_[i] = 0.0;
-                    ++shard.readmissions;
-                }
-            }
+            holdoff_[i] = m.holdSlices;
+            risk_[i] = 0.0;
+            ++shard.readmissions;
         }
         const Seconds offline_core_time =
             double(m.coresPerChip) * slice;
@@ -281,24 +259,8 @@ ShardedFleet::applyChipSlice(Shard &shard, unsigned i,
                        sq(railMv_[i] * inv_nominal);
     energyJ_[i] += power * slice;
 
-    if (hc.enabled) {
-        if (state == ChipHealth::probation) {
-            healthTimer_[i] -= slice;
-            if (dues > 0) {
-                // One strike on probation sends the chip back inside.
-                enterQuarantine(shard, i);
-            } else if (healthTimer_[i] <= 0.0) {
-                health_[i] = std::uint8_t(ChipHealth::healthy);
-            }
-        } else if (dueWindow_[i] >= hc.quarantineRate) {
-            enterQuarantine(shard, i);
-        } else if (state == ChipHealth::degraded) {
-            if (dueWindow_[i] <= hc.healthyRate)
-                health_[i] = std::uint8_t(ChipHealth::healthy);
-        } else if (dueWindow_[i] >= hc.degradeRate) {
-            health_[i] = std::uint8_t(ChipHealth::degraded);
-        }
-    }
+    if (event == HealthEvent::quarantine)
+        enterQuarantine(shard, i);
 }
 
 void
@@ -778,7 +740,7 @@ ShardedFleet::audit()
     const Millivolt rail_hi =
         m.nominalVdd + cfg.health.selfTestBoostMv + 1e-9;
     for (unsigned i = 0; i < cfg.numChips; ++i) {
-        if (health_[i] > std::uint8_t(ChipHealth::probation)) {
+        if (health_[i] > ChipHealth::probation) {
             violate("chip " + std::to_string(i) +
                     " has an invalid health state");
             break;
@@ -1094,7 +1056,7 @@ ShardedFleet::snapshot(StateWriter &w) const
         // robustness counters.
         std::vector<std::uint64_t> health(shard.hi - shard.lo);
         for (unsigned i = shard.lo; i < shard.hi; ++i)
-            health[i - shard.lo] = health_[i];
+            health[i - shard.lo] = std::uint64_t(health_[i]);
         w.putU64Vector(health);
         span(dueWindow_);
         span(healthTimer_);
@@ -1209,13 +1171,8 @@ ShardedFleet::restore(StateReader &r)
         const std::vector<std::uint64_t> health = r.getU64Vector();
         if (health.size() != shard.hi - shard.lo)
             throw SnapshotError("shard health span size mismatch");
-        for (unsigned i = shard.lo; i < shard.hi; ++i) {
-            if (health[i - shard.lo] >
-                std::uint64_t(ChipHealth::probation))
-                throw SnapshotError("invalid chip health state in "
-                                    "snapshot");
-            health_[i] = std::uint8_t(health[i - shard.lo]);
-        }
+        for (unsigned i = shard.lo; i < shard.hi; ++i)
+            health_[i] = decodeChipHealth(health[i - shard.lo]);
         span(dueWindow_);
         span(healthTimer_);
         shard.quarantines = r.getU64();

@@ -248,7 +248,7 @@ class ShardedFleet
     /** Health FSM state of one chip. */
     ChipHealth chipHealth(unsigned chip) const
     {
-        return ChipHealth(health_.at(chip));
+        return health_.at(chip);
     }
     /** Windowed DUE-rate estimate driving the health FSM (1/s). */
     double dueWindowRate(unsigned chip) const
@@ -381,8 +381,8 @@ class ShardedFleet
     /** Energy reading at the governor's last measurement. */
     std::vector<double> energyMark_;
     std::vector<std::uint32_t> holdoff_;
-    /** Health FSM state per chip (ChipHealth as u8). */
-    std::vector<std::uint8_t> health_;
+    /** Health FSM state per chip. */
+    std::vector<ChipHealth> health_;
     /** Windowed DUE-rate EWMA per chip (1/s). */
     std::vector<double> dueWindow_;
     /** Seconds left in the current quarantine/self-test/probation. */
@@ -445,7 +445,8 @@ class ShardedFleet
      * The per-chip control state machine for one slice, given this
      * slice's correctable/DUE event counts (drawn per chip on the
      * exact path, thinned from the pooled draws on the batched path):
-     * backoff/recovery/descent, queue drain and the energy integral.
+     * backoff/recovery/descent, queue drain, the energy integral and
+     * the side effects of the shared health step (stepHealth).
      */
     void applyChipSlice(Shard &shard, unsigned i, std::uint64_t corr,
                         std::uint64_t dues, Seconds slice,
@@ -455,11 +456,11 @@ class ShardedFleet
     /** True while the chip takes no placements (health FSM). */
     bool chipOffline(unsigned chip) const
     {
-        return !healthSchedulable(ChipHealth(health_[chip]));
+        return !healthSchedulable(health_[chip]);
     }
 
-    /** Quarantine entry: drain the backlog into the shard's slice
-     *  buffer, park the rail at nominal, start the hold timer. */
+    /** Quarantine side effects: drain the backlog into the shard's
+     *  slice buffer and park the rail at nominal. */
     void enterQuarantine(Shard &shard, unsigned i);
 
     /** Credit the per-domain attribution rows of every kind with an

@@ -40,6 +40,32 @@ chipHealthName(ChipHealth health)
     panic("unknown chip health state");
 }
 
+void
+validate(const HealthConfig &hc)
+{
+    if (!hc.enabled)
+        return;
+    if (hc.windowTau <= 0.0)
+        fatal("HealthConfig window tau must be positive");
+    if (hc.quarantineHold <= 0.0 || hc.selfTestDuration <= 0.0 ||
+        hc.probationDuration <= 0.0)
+        fatal("HealthConfig state durations must be positive");
+    if (hc.healthyRate > hc.degradeRate ||
+        hc.degradeRate > hc.quarantineRate)
+        fatal("HealthConfig thresholds must satisfy healthyRate "
+              "<= degradeRate <= quarantineRate");
+    if (hc.selfTestBoostMv < 0.0)
+        fatal("HealthConfig self-test boost must be non-negative");
+}
+
+ChipHealth
+decodeChipHealth(std::uint64_t raw)
+{
+    if (raw > std::uint64_t(ChipHealth::probation))
+        throw SnapshotError("invalid chip health state in snapshot");
+    return ChipHealth(raw);
+}
+
 bool
 FleetChaosConfig::armed() const
 {

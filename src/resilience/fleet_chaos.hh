@@ -180,7 +180,8 @@ class FleetFaultInjector
  * recovery rate) and the hot ShardedFleet (windowed DUE rate). The FSM
  * is healthy -> degraded -> quarantined -> self-testing -> probation ->
  * healthy, with hysteresis between degradeRate and healthyRate so a
- * chip riding the threshold does not flap.
+ * chip riding the threshold does not flap. stepHealth below is the one
+ * implementation of its edges.
  */
 struct HealthConfig
 {
@@ -222,6 +223,111 @@ healthSchedulable(ChipHealth health)
 {
     return health != ChipHealth::quarantined &&
            health != ChipHealth::selfTesting;
+}
+
+/** Fatal unless an enabled config has positive window and state
+ *  durations, ordered thresholds and a non-negative self-test boost. */
+void validate(const HealthConfig &hc);
+
+/** Decode a snapshot's health state; throws SnapshotError when out of
+ *  range. */
+ChipHealth decodeChipHealth(std::uint64_t raw);
+
+/** The side effect a health step asks its fleet to apply. */
+enum class HealthEvent : std::uint8_t
+{
+    none = 0,
+    /** Entered quarantine: drain the chip's work. */
+    quarantine = 1,
+    /** Passed its self-test: back online on probation. */
+    readmit = 2,
+};
+
+/** One chip's health after a slice. */
+struct HealthStep
+{
+    ChipHealth state;
+    /** Seconds left in the quarantine hold, self-test or probation. */
+    Seconds timer;
+    /** Windowed event-rate EWMA, this slice folded in (1/s). */
+    double window;
+    HealthEvent event;
+};
+
+/**
+ * One slice of the chip-health FSM, shared by both fleets (the cold
+ * Fleet feeds recoveries, the hot ShardedFleet DUEs). Folds
+ * @p slice_rate (this slice's events / slice) into the window with
+ * the precomputed @p window_decay = exp(-slice / windowTau), then
+ * takes at most one edge:
+ *   - healthy/degraded: quarantine at window >= quarantineRate;
+ *     healthy degrades at >= degradeRate; degraded heals below
+ *     healthyRate;
+ *   - quarantined: self-test when the hold runs out;
+ *   - self-testing: when the test ends, re-run it while the window is
+ *     still >= degradeRate, else readmit on probation;
+ *   - probation: any event this slice sends the chip back to
+ *     quarantine; otherwise healthy when the probation runs out.
+ * A timer that lands exactly on 0 fires. Pure and inline: the hot
+ * fleet calls it once per chip per slice.
+ */
+inline HealthStep
+stepHealth(const HealthConfig &hc, ChipHealth state, Seconds timer,
+           double window, double slice_rate, Seconds slice,
+           double window_decay)
+{
+    HealthStep next{state, timer,
+                    window * window_decay +
+                        (1.0 - window_decay) * slice_rate,
+                    HealthEvent::none};
+    const auto quarantine = [&] {
+        next.state = ChipHealth::quarantined;
+        next.timer = hc.quarantineHold;
+        next.event = HealthEvent::quarantine;
+    };
+    switch (state) {
+      case ChipHealth::healthy:
+        if (next.window >= hc.quarantineRate)
+            quarantine();
+        else if (next.window >= hc.degradeRate)
+            next.state = ChipHealth::degraded;
+        break;
+      case ChipHealth::degraded:
+        if (next.window >= hc.quarantineRate)
+            quarantine();
+        else if (next.window < hc.healthyRate)
+            next.state = ChipHealth::healthy;
+        break;
+      case ChipHealth::quarantined:
+        next.timer -= slice;
+        if (next.timer <= 0.0) {
+            next.state = ChipHealth::selfTesting;
+            next.timer = hc.selfTestDuration;
+        }
+        break;
+      case ChipHealth::selfTesting:
+        next.timer -= slice;
+        if (next.timer > 0.0)
+            break;
+        if (next.window >= hc.degradeRate) {
+            next.timer = hc.selfTestDuration; // still noisy: re-run
+        } else {
+            next.state = ChipHealth::probation;
+            next.timer = hc.probationDuration;
+            next.event = HealthEvent::readmit;
+        }
+        break;
+      case ChipHealth::probation:
+        if (slice_rate > 0.0) {
+            quarantine();
+            break;
+        }
+        next.timer -= slice;
+        if (next.timer <= 0.0)
+            next.state = ChipHealth::healthy;
+        break;
+    }
+    return next;
 }
 
 } // namespace vspec

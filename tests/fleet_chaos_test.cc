@@ -382,6 +382,91 @@ TEST(ScaleSnapshot, RestoreRefusesMismatchedHealthArmament)
 }
 
 // ---------------------------------------------------------------------
+// The shared health step
+// ---------------------------------------------------------------------
+
+TEST(HealthStep, EveryEdgeFollowsTheTable)
+{
+    HealthConfig hc; // healthy 0.02, degrade 0.05, quarantine 0.2
+    hc.enabled = true;
+    constexpr Seconds slice = 0.25;
+    // window_decay = 1 holds the window at the row's value, so each
+    // row reads its threshold exactly.
+    struct Row
+    {
+        const char *edge;
+        ChipHealth state;
+        Seconds timer;
+        double window;
+        double sliceRate;
+        ChipHealth next;
+        Seconds nextTimer;
+        HealthEvent event;
+    };
+    const ChipHealth H = ChipHealth::healthy, D = ChipHealth::degraded,
+                     Q = ChipHealth::quarantined,
+                     S = ChipHealth::selfTesting,
+                     P = ChipHealth::probation;
+    const HealthEvent none = HealthEvent::none,
+                      quar = HealthEvent::quarantine,
+                      readmit = HealthEvent::readmit;
+    const Row rows[] = {
+        {"healthy below degradeRate stays", H, 0.0, 0.049, 0.0, H, 0.0,
+         none},
+        {"healthy == degradeRate degrades", H, 0.0, 0.05, 0.0, D, 0.0,
+         none},
+        {"healthy == quarantineRate quarantines", H, 0.0, 0.2, 0.0, Q,
+         hc.quarantineHold, quar},
+        {"degraded == healthyRate stays degraded", D, 0.0, 0.02, 0.0, D,
+         0.0, none},
+        {"degraded below healthyRate heals", D, 0.0, 0.019, 0.0, H, 0.0,
+         none},
+        {"degraded == quarantineRate quarantines", D, 0.0, 0.2, 0.0, Q,
+         hc.quarantineHold, quar},
+        {"quarantine hold counts down", Q, 0.5, 1.0, 1.0, Q, 0.25, none},
+        {"quarantine timer landing on 0 fires", Q, 0.25, 1.0, 0.0, S,
+         hc.selfTestDuration, none},
+        {"self-test counts down", S, 0.5, 1.0, 0.0, S, 0.25, none},
+        {"self-test ending at >= degradeRate re-runs", S, 0.25, 0.05, 0.0,
+         S, hc.selfTestDuration, none},
+        {"self-test ending quiet readmits", S, 0.25, 0.049, 0.0, P,
+         hc.probationDuration, readmit},
+        {"probation strike re-quarantines", P, 3.0, 0.0, 4.0, Q,
+         hc.quarantineHold, quar},
+        {"probation counts down", P, 0.5, 0.0, 0.0, P, 0.25, none},
+        {"probation timer landing on 0 heals", P, 0.25, 0.0, 0.0, H, 0.0,
+         none},
+    };
+    for (const Row &row : rows) {
+        const HealthStep step = stepHealth(hc, row.state, row.timer,
+                                           row.window, row.sliceRate,
+                                           slice, /*window_decay=*/1.0);
+        EXPECT_EQ(step.state, row.next) << row.edge;
+        EXPECT_EQ(step.timer, row.nextTimer) << row.edge;
+        EXPECT_EQ(step.window, row.window) << row.edge;
+        EXPECT_EQ(step.event, row.event) << row.edge;
+    }
+}
+
+TEST(HealthStep, WindowFoldsTheSliceRateBeforeTheEdge)
+{
+    HealthConfig hc;
+    hc.enabled = true;
+    // 0.5 * 0 + 0.5 * 0.2 = 0.1: the folded window, not the old one,
+    // crosses degradeRate.
+    const HealthStep step =
+        stepHealth(hc, ChipHealth::healthy, 0.0, 0.0, 0.2, 0.1, 0.5);
+    EXPECT_EQ(step.window, 0.1);
+    EXPECT_EQ(step.state, ChipHealth::degraded);
+}
+
+TEST(HealthStep, SnapshotDecodeRefusesOutOfRangeStates)
+{
+    EXPECT_EQ(decodeChipHealth(4), ChipHealth::probation);
+    EXPECT_THROW(decodeChipHealth(5), SnapshotError);
+}
+
+// ---------------------------------------------------------------------
 // Cold path: Fleet health lifecycle
 // ---------------------------------------------------------------------
 

@@ -333,26 +333,6 @@ TEST_F(HotPathTest, BatchedSweepIsStatisticallyEquivalent)
     EXPECT_NEAR(double(exact_total), double(batched_total), tolerance);
 }
 
-TEST_F(HotPathTest, VectorizedProbeTracksLutPath)
-{
-    ASSERT_FALSE(weakLines.empty());
-    // The vectorized fold goes through West's Phi instead of libm
-    // erfc: not byte-identical to the LUT path, but the absolute
-    // error per cell is ~1e-15, so the folded line probabilities must
-    // agree far tighter than any sampling consumer can resolve.
-    for (const WeakLineInfo &line : weakLines) {
-        for (double dv = -10.0; dv <= 10.0; dv += 1.37) {
-            const Millivolt v = line.weakestVc + dv;
-            double pc = 0.0, pu = 0.0, vc = 0.0, vu = 0.0;
-            array.lineEventProbabilities(line.set, line.way, v, pc, pu);
-            array.lineEventProbabilitiesVec(line.set, line.way, v, vc,
-                                            vu);
-            EXPECT_NEAR(vc, pc, 1e-9);
-            EXPECT_NEAR(vu, pu, 1e-9);
-        }
-    }
-}
-
 TEST_F(HotPathTest, AggregateRatesMatchPerLineQuantizedSum)
 {
     ASSERT_FALSE(weakLines.empty());

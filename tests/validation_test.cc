@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "fleet/fleet.hh"
+#include "fleet/shard.hh"
 #include "platform/harness.hh"
 #include "platform/simulator.hh"
 #include "sram/aging.hh"
@@ -141,6 +143,44 @@ TEST(Validation, FitTwoPointsRejectsInvertedAnchors)
                                           905.0);
         },
         ::testing::ExitedWithCode(1), "");
+}
+
+/** Both fleets must refuse the same bad config the same way. */
+void
+expectBothFleetsReject(const HealthConfig &health, Seconds risk_tau,
+                       const char *message)
+{
+    FleetConfig cold;
+    cold.health = health;
+    cold.riskTau = risk_tau;
+    EXPECT_EXIT({ Fleet bad(cold); }, ::testing::ExitedWithCode(1),
+                message);
+
+    ScaleFleetConfig hot;
+    hot.numChips = 16;
+    hot.health = health;
+    hot.riskTau = risk_tau;
+    EXPECT_EXIT({ ShardedFleet bad(hot); }, ::testing::ExitedWithCode(1),
+                message);
+}
+
+TEST(Validation, FleetsRejectBadHealthConfig)
+{
+    HealthConfig negative_tau;
+    negative_tau.enabled = true;
+    negative_tau.windowTau = -1.0;
+    expectBothFleetsReject(negative_tau, 5.0, "window tau");
+
+    HealthConfig inverted;
+    inverted.enabled = true;
+    inverted.degradeRate = 0.5;
+    inverted.quarantineRate = 0.2;
+    expectBothFleetsReject(inverted, 5.0, "thresholds");
+}
+
+TEST(Validation, FleetsRejectNonPositiveRiskTau)
+{
+    expectBothFleetsReject(HealthConfig(), -1.0, "risk tau");
 }
 
 TEST(FailureInjection, SuddenDeepDroopTriggersEmergency)
