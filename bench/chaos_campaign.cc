@@ -16,7 +16,7 @@
  * sides of the kill.
  *
  * Trials alternate between chip-level campaigns (Simulator snapshot,
- * exact and batched sampling), fleet-level campaigns (Fleet snapshot:
+ * exact and chip-batched sampling), fleet-level campaigns (Fleet snapshot:
  * 2 chips, job stream, governor, kill at a random slice) and
  * scale-fleet campaigns (ShardedFleet snapshot: 96 chips with the
  * correlated-event injector, health lifecycle and retry queue armed,
@@ -194,12 +194,12 @@ chipTrial(unsigned trial, std::uint64_t seed, SamplingMode sampling,
                           reportAuditor("revived", *revived.auditor);
     std::printf("chip  trial %u  %s  kill@%6.2fs/%5.2fs  snapshot "
                 "%6zu B  end state %s\n",
-                trial, samplingName(sampling),
+                trial, samplingModeName(sampling),
                 double(kill_tick) * kTick, duration, snapshot.size(),
                 state_ok ? "MATCH" : "MISMATCH");
     if (!state_ok)
         dumpFailureArtifact("chaos_chip_trial" + std::to_string(trial) +
-                                "_" + samplingName(sampling),
+                                "_" + samplingModeName(sampling),
                             snapshot);
     return state_ok && audit_ok;
 }
@@ -467,7 +467,7 @@ main(int argc, char **argv)
         ok = chipTrial(t, trial_seed, SamplingMode::exact, duration,
                        chaos) &&
              ok;
-        ok = chipTrial(t, trial_seed, SamplingMode::batched, duration,
+        ok = chipTrial(t, trial_seed, SamplingMode::chipBatched, duration,
                        chaos) &&
              ok;
         ok = fleetTrial(t, trial_seed, duration / 2.0, chaos, pool) &&

@@ -31,7 +31,7 @@
  *   --json        machine-readable output.
  *   --chips N     fleet size (default 1536).
  *   --duration S  simulated seconds per variant (default 40).
- *   --sampling exact|batched|chip-batched
+ *   --sampling exact|chip-batched
  *                 hot-loop sampling granularity (default exact).
  */
 
@@ -271,7 +271,7 @@ main(int argc, char **argv)
         doc.key("artifact").value("fig_blast_radius");
         doc.key("numChips").value(std::uint64_t(chips));
         doc.key("durationSec").value(duration);
-        doc.key("sampling").value(samplingName(sampling));
+        doc.key("sampling").value(samplingModeName(sampling));
         doc.key("fleetBudgetWatts").value(9.5 * double(chips));
         doc.key("variants").beginArray();
         for (const VariantResult &res : results) {

@@ -14,13 +14,12 @@
  *     weak-cell range query + per-cell normalCdf fold on every call).
  *     The ratio is the speedup the span index + LUT buy.
  *  2. sweep: full data calibration sweeps of one L2D array — naive
- *     reference, current exact, SamplingMode::batched, and the
- *     chip-batched aggregate path (two draws per pass over cached
- *     whole-array rates).
+ *     reference, current exact, and the chip-batched aggregate path
+ *     (two draws per pass over cached whole-array rates).
  *  3. burst: a fig13-style probe-burst voltage sweep over four cores of
  *     a fixed chip (throughput of the whole probeLine stack).
  *  4. fleet: a 2-chip fleet slice (construction + calibration + run),
- *     exact vs batched vs chip-batched.
+ *     exact vs chip-batched.
  *
  * Every lane is timed three times and reports the median run, so a
  * scheduler hiccup in one repetition cannot sink (or inflate) a
@@ -29,7 +28,8 @@
  * Options:
  *   --json                machine-readable output (BENCH_hotpath.json).
  *   --min-probe-speedup X fail (exit 2) if section 1's speedup < X.
- *   --min-sweep-speedup X fail (exit 2) if section 2's speedup < X.
+ *   --min-sweep-speedup X fail (exit 2) if section 2's chip-batched
+ *                         speedup < X.
  *
  * The CI perf-smoke job runs this binary and compares the dimensionless
  * speedup ratios against the committed BENCH_hotpath.json baseline
@@ -235,11 +235,11 @@ main(int argc, char **argv)
     // Section 2: calibration data sweep — pre-optimization reference
     // ("naive": per-line weak-cell vector copies + per-probe
     // probability recomputation, as the library did before the span
-    // index and LUT), current exact, and batched.
+    // index and LUT), current exact, and chip-batched.
     // ---------------------------------------------------------------
     constexpr unsigned sweepReps = 20;
     constexpr std::uint64_t readsPerPattern = 2500;
-    // Snap the sweep voltage to the LUT quantization grid so batched
+    // Snap the sweep voltage to the LUT quantization grid so chip-batched
     // mode evaluates the same probabilities as exact mode and the event
     // counts are comparable within Poisson noise (off-grid voltages
     // carry the documented bounded quantization bias instead).
@@ -285,8 +285,8 @@ main(int argc, char **argv)
     });
     measures.push_back({"sweep_naive", sweep_naive_ms, sweepReps});
 
-    std::uint64_t exact_events = 0, batched_events = 0, vec_events = 0;
-    Rng rng_exact(0x5EEDULL), rng_batched(0x5EEDULL), rng_vec(0x5EEDULL);
+    std::uint64_t exact_events = 0, vec_events = 0;
+    Rng rng_exact(0x5EEDULL), rng_vec(0x5EEDULL);
 
     const double sweep_exact_ms = medianMs([&] {
         for (unsigned r = 0; r < sweepReps; ++r) {
@@ -296,17 +296,6 @@ main(int argc, char **argv)
         }
     });
     measures.push_back({"sweep_exact", sweep_exact_ms, sweepReps});
-
-    const double sweep_batched_ms = medianMs([&] {
-        for (unsigned r = 0; r < sweepReps; ++r) {
-            batched_events += sweep::dataSweep(l2d, v_sweep,
-                                               readsPerPattern,
-                                               rng_batched,
-                                               SamplingMode::batched)
-                                  .totalCorrectable;
-        }
-    });
-    measures.push_back({"sweep_batched", sweep_batched_ms, sweepReps});
 
     // The aggregate sweep costs microseconds per pass, so it needs far
     // more repetitions than the walking lanes for a stable median; the
@@ -322,39 +311,29 @@ main(int argc, char **argv)
     });
     measures.push_back({"sweep_vectorized", sweep_vec_ms, vecReps});
 
-    const double sweep_speedup =
-        sweep_naive_ms / std::max(sweep_batched_ms, 1e-6);
     const double sweep_exact_speedup =
         sweep_naive_ms / std::max(sweep_exact_ms, 1e-6);
     const double sweep_vec_speedup =
         (sweep_naive_ms / double(sweepReps)) /
         std::max(sweep_vec_ms / double(vecReps), 1e-9);
     // Distributional sanity: same mean event count per sweep within
-    // 5 sigma of the Poisson-scale noise, for both fast modes. Each
-    // lane accumulated over 3 timed repetitions of its rep count.
-    const auto check_events = [&](std::uint64_t got, unsigned got_reps,
-                                  const char *label) -> bool {
-        const double n_exact = 3.0 * sweepReps;
-        const double n_got = 3.0 * got_reps;
-        const double m_exact = double(exact_events) / n_exact;
-        const double m_got = double(got) / n_got;
-        const double pooled = 0.5 * (m_exact + m_got);
-        const double tolerance =
-            5.0 * std::sqrt(std::max(pooled, 1.0) *
-                            (1.0 / n_exact + 1.0 / n_got));
-        if (std::abs(m_exact - m_got) > tolerance) {
-            std::fprintf(stderr,
-                         "FAIL: %s sweep event rate diverged "
-                         "(%.1f exact vs %.1f %s per sweep, "
-                         "tolerance %.2f)\n",
-                         label, m_exact, m_got, label, tolerance);
-            return false;
-        }
-        return true;
-    };
-    if (!check_events(batched_events, sweepReps, "batched") ||
-        !check_events(vec_events, vecReps, "chip-batched"))
+    // 5 sigma of the Poisson-scale noise. Each lane accumulated over 3
+    // timed repetitions of its rep count.
+    const double n_exact = 3.0 * sweepReps;
+    const double n_vec = 3.0 * vecReps;
+    const double m_exact = double(exact_events) / n_exact;
+    const double m_vec = double(vec_events) / n_vec;
+    const double tolerance =
+        5.0 * std::sqrt(std::max(0.5 * (m_exact + m_vec), 1.0) *
+                        (1.0 / n_exact + 1.0 / n_vec));
+    if (std::abs(m_exact - m_vec) > tolerance) {
+        std::fprintf(stderr,
+                     "FAIL: chip-batched sweep event rate diverged "
+                     "(%.1f exact vs %.1f chip-batched per sweep, "
+                     "tolerance %.2f)\n",
+                     m_exact, m_vec, tolerance);
         return 1;
+    }
 
     // ---------------------------------------------------------------
     // Section 3: fig13-style probe-burst voltage sweep, fixed chip.
@@ -384,7 +363,7 @@ main(int argc, char **argv)
     measures.push_back({"fig13_burst", burst_ms, burst_probes});
 
     // ---------------------------------------------------------------
-    // Section 4: fleet slice, exact vs batched vs chip-batched.
+    // Section 4: fleet slice, exact vs chip-batched.
     // ---------------------------------------------------------------
     ExperimentPool pool(parseThreads(argc, argv));
     constexpr Seconds fleetDuration = 2.0;
@@ -399,14 +378,9 @@ main(int argc, char **argv)
     const double fleet_exact_ms = fleet_lane(SamplingMode::exact);
     measures.push_back({"fleet_exact", fleet_exact_ms, 2});
 
-    const double fleet_batched_ms = fleet_lane(SamplingMode::batched);
-    measures.push_back({"fleet_batched", fleet_batched_ms, 2});
-
     const double fleet_chip_ms = fleet_lane(SamplingMode::chipBatched);
     measures.push_back({"fleet_chipbatched", fleet_chip_ms, 2});
 
-    const double fleet_speedup =
-        fleet_exact_ms / std::max(fleet_batched_ms, 1e-6);
     const double fleet_chip_speedup =
         fleet_exact_ms / std::max(fleet_chip_ms, 1e-6);
 
@@ -429,16 +403,13 @@ main(int argc, char **argv)
         doc.key("speedups").beginObject();
         doc.key("probeLutVsNaive").value(probe_speedup);
         doc.key("sweepExactVsNaive").value(sweep_exact_speedup);
-        doc.key("sweepBatchedVsNaive").value(sweep_speedup);
         doc.key("sweepVectorizedVsNaive").value(sweep_vec_speedup);
-        doc.key("fleetBatchedVsExact").value(fleet_speedup);
         doc.key("fleetChipBatchedVsExact").value(fleet_chip_speedup);
         doc.endObject();
         doc.key("checks").beginObject();
         doc.key("probeChecksumAbsError").value(max_abs_err);
         doc.key("sweepNaiveEvents").value(naive_events);
         doc.key("sweepExactEvents").value(exact_events);
-        doc.key("sweepBatchedEvents").value(batched_events);
         doc.key("sweepVectorizedEvents").value(vec_events);
         doc.key("burstEvents").value(burst_events);
         doc.key("simdBackend").value(simd::backendName());
@@ -457,14 +428,10 @@ main(int argc, char **argv)
                                              m.work, 1)));
         }
         std::printf("\nspeedups vs pre-optimization reference: probe LUT "
-                    "%.1fx, sweep exact %.1fx, sweep "
-                    "batched %.1fx, sweep vectorized %.1fx; fleet "
-                    "batched vs exact %.1fx, fleet chip-batched vs "
-                    "exact %.1fx [%s]\n",
-                    probe_speedup,
-                    sweep_exact_speedup, sweep_speedup, sweep_vec_speedup,
-                    fleet_speedup, fleet_chip_speedup,
-                    simd::backendName());
+                    "%.1fx, sweep exact %.1fx, sweep vectorized %.1fx; "
+                    "fleet chip-batched vs exact %.1fx [%s]\n",
+                    probe_speedup, sweep_exact_speedup, sweep_vec_speedup,
+                    fleet_chip_speedup, simd::backendName());
     }
 
     if (min_probe > 0.0 && probe_speedup < min_probe) {
@@ -473,10 +440,10 @@ main(int argc, char **argv)
                      probe_speedup, min_probe);
         return 2;
     }
-    if (min_sweep > 0.0 && sweep_speedup < min_sweep) {
+    if (min_sweep > 0.0 && sweep_vec_speedup < min_sweep) {
         std::fprintf(stderr,
                      "FAIL: sweep speedup %.2fx below floor %.2fx\n",
-                     sweep_speedup, min_sweep);
+                     sweep_vec_speedup, min_sweep);
         return 2;
     }
     return 0;

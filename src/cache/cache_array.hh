@@ -109,9 +109,8 @@ class CacheArray
 
     /**
      * Aggregate probe of one line: n_accesses full-line reads. With
-     * SamplingMode::batched (or chipBatched) the per-access
-     * probabilities come from the quantized (bucket-center) LUT
-     * instead of the exact voltage.
+     * SamplingMode::chipBatched the per-access probabilities come from
+     * the quantized (bucket-center) LUT instead of the exact voltage.
      */
     ProbeStats probeLine(std::uint64_t set, unsigned way, Millivolt v_eff,
                          std::uint64_t n_accesses, Rng &rng,
@@ -136,7 +135,7 @@ class CacheArray
                                 double &p_uncorrectable) const;
 
     /**
-     * Quantized flavor for the opt-in batched sampling mode: evaluates
+     * Quantized flavor for the chip-batched sampling mode: evaluates
      * the probabilities at the center of v_eff's probQuantMv bucket, so
      * every voltage in a bucket shares one cached entry (maximum hit
      * rate under a noisy rail). Introduces a bounded model error of at
@@ -155,7 +154,7 @@ class CacheArray
      * v_eff's quantization bucket: the sum over every weak line of the
      * per-access expected correctable events and of the per-access
      * uncorrectable probability (used as a hazard rate, matching the
-     * core traffic model's batched accumulation). Backed by a small
+     * core traffic model's per-array accumulation). Backed by a small
      * per-bucket cache invalidated by the SRAM generation, so a
      * steady-rail sweep costs two loads per pass instead of a walk
      * over every weak line. The fill is a vectorized fold — one

@@ -92,16 +92,13 @@ constexpr std::array<std::uint64_t, 4> dataPatterns = {
  * Sweep every line of a data array at effective supply v_eff: for each
  * line and each pattern, write then read @p reads_per_pattern times.
  *
- * SamplingMode::batched collapses the per-pattern passes into one
- * aggregate probe of reads_per_pattern * |patterns| accesses per line
- * and skips the simulated pattern writes entirely — cell failures are
- * content-independent, so the event-count distribution is unchanged
- * (the per-line draw count and stored line contents are not).
- *
- * SamplingMode::chipBatched goes one level further: the whole array
- * collapses to two draws per pass over cached aggregate rates
+ * SamplingMode::chipBatched skips the pattern writes and collapses the
+ * whole array to two draws per pass over cached aggregate rates
  * (CacheArray::aggregateEventRates), with correctable events
- * attributed to the weakest line.
+ * attributed to the weakest line. Cell failures are
+ * content-independent, so the event-count distribution is unchanged
+ * up to the bucket-center quantization (the draw sequence and stored
+ * line contents are not).
  */
 SweepResult dataSweep(CacheArray &array, Millivolt v_eff,
                       std::uint64_t reads_per_pattern, Rng &rng,
@@ -110,8 +107,9 @@ SweepResult dataSweep(CacheArray &array, Millivolt v_eff,
 /**
  * Sweep every line of an instruction array: the replicated template is
  * written to each line (as the firmware's memory copy would place it)
- * and then fetched @p reads_per_line times. SamplingMode::batched
- * skips the template writes and probes each line once, as above.
+ * and then fetched @p reads_per_line times. SamplingMode::chipBatched
+ * skips the template writes and draws over the aggregate rates, as
+ * above.
  */
 SweepResult instructionSweep(CacheArray &array, Millivolt v_eff,
                              std::uint64_t reads_per_line, Rng &rng,

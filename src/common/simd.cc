@@ -260,6 +260,10 @@ threefryFillAvx2(std::uint64_t key0, std::uint64_t key1, std::uint64_t ctr0,
             reinterpret_cast<__m256i *>(out + 2 * i + 4),
             _mm256_permute2x128_si256(lo, hi, 0x31));
     }
+    // The scalar tail calls non-AVX code: leave the upper YMM state
+    // clean first, or every later SSE instruction on this thread pays
+    // the AVX-SSE transition penalty.
+    _mm256_zeroupper();
     for (; i < n_blocks; ++i)
         CounterRng::block(key0, key1, ctr0 + i, 0, out + 2 * i);
 }
@@ -331,6 +335,7 @@ normalCdfBatchAvx2(const double *z, std::size_t n, double *out)
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4)
         _mm256_storeu_pd(out + i, phiWestAvx2(_mm256_loadu_pd(z + i)));
+    _mm256_zeroupper();  // See threefryFillAvx2.
     for (; i < n; ++i)
         out[i] = phiWest(z[i]);
 }
@@ -381,6 +386,7 @@ bernoulliMaskAvx2(const double *p, std::size_t n, std::uint64_t key0,
             mask[j + k] = std::uint8_t((bits >> k) & 1);
         count += std::size_t(__builtin_popcount(unsigned(bits)));
     }
+    _mm256_zeroupper();  // See threefryFillAvx2.
     for (; j < n; ++j) {
         const bool hit = bernoulliTrial(p[j], key0, key1, ctr0, j);
         mask[j] = hit ? 1 : 0;

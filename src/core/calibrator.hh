@@ -67,8 +67,8 @@ class Calibrator
         Millivolt confirmWindowMv = 0.0;
         /**
          * Sweep fidelity: exact reproduces the historical per-pattern
-         * draws; batched aggregates each line's epoch into one draw
-         * (see common/sampling.hh).
+         * draws; chipBatched draws each pass over the whole array's
+         * aggregate rates (see common/sampling.hh).
          */
         SamplingMode sampling = SamplingMode::exact;
     };

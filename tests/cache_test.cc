@@ -317,7 +317,7 @@ TEST(CacheArray, ProbBucketIndexEdgeConvention)
  * Exact and quantized probability paths must agree on the bucket of
  * the same v_eff: a voltage just below an edge and the center of its
  * bucket produce identical quantized probabilities, while the far
- * side of the edge may differ. This is the determinism the batched
+ * side of the edge may differ. This is the determinism the chip-batched
  * sampling mode's byte-identical replay rests on.
  */
 TEST(CacheArray, QuantizedProbabilitiesShareBucketAcrossEdge)

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "cache/cache_array.hh"
@@ -402,7 +403,7 @@ TEST_P(SimulatorReplay, SnapshotAtEveryPhaseBoundaryStillReplays)
 
 INSTANTIATE_TEST_SUITE_P(SamplingModes, SimulatorReplay,
                          ::testing::Values(SamplingMode::exact,
-                                           SamplingMode::batched));
+                                           SamplingMode::chipBatched));
 
 TEST(SimulatorSnapshot, RestoreVerifiesTickSize)
 {
@@ -448,6 +449,49 @@ TEST(SimulatorSnapshot, CorruptedSimStateIsRejectedNotReplayed)
     auto bytes = simState(*a.sim);
     bytes[bytes.size() / 2] ^= 0x40;
     EXPECT_THROW(StateReader reader(std::move(bytes)), SnapshotError);
+}
+
+TEST(SamplingModeDecode, BothModesKeepTheirSnapshotBytes)
+{
+    EXPECT_EQ(decodeSamplingMode(0), SamplingMode::exact);
+    EXPECT_EQ(decodeSamplingMode(2), SamplingMode::chipBatched);
+}
+
+TEST(SamplingModeDecode, RetiredBatchedAndUnknownBytesAreRefused)
+{
+    try {
+        decodeSamplingMode(1);
+        ADD_FAILURE() << "the retired batched byte decoded";
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("batched"), std::string::npos)
+            << e.what();
+    }
+    for (const std::uint64_t raw : {3u, 255u})
+        EXPECT_THROW(decodeSamplingMode(raw), SnapshotError) << raw;
+}
+
+TEST(SimulatorSnapshot, RetiredOrUnknownSamplingModeIsRefused)
+{
+    CampaignSim a = buildCampaign(SamplingMode::exact);
+    for (const unsigned raw : {1u, 3u}) {
+        // A sim section cut after its mode byte: restore must refuse
+        // the mode before it reads any further.
+        StateWriter w;
+        w.beginSection("sim");
+        w.putDouble(0.0);
+        w.putDouble(0.005);
+        w.putU8(std::uint8_t(raw));
+        w.endSection();
+        StateReader r(w.finish());
+        try {
+            a.sim->restore(r);
+            ADD_FAILURE() << "sampling mode " << raw << " restored";
+        } catch (const SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find("sampling mode"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -507,7 +551,7 @@ TEST(FleetSnapshot, RestorePlusNSlicesMatchesUninterruptedRun)
 TEST(FleetSnapshot, BatchedSamplingReplaysToo)
 {
     FleetConfig cfg = replayFleetConfig();
-    cfg.sampling = SamplingMode::batched;
+    cfg.sampling = SamplingMode::chipBatched;
     ExperimentPool pool(2);
 
     Fleet ref(cfg);
