@@ -195,12 +195,11 @@ CacheArray::readLine(std::uint64_t set, unsigned way, Millivolt v_eff,
     return readLineImpl(set, way, v_eff, rng);
 }
 
+template <typename ProbOf>
 void
-CacheArray::computeLineEventProbabilities(std::uint64_t set, unsigned way,
-                                          WeakCellSpan span,
-                                          Millivolt v_eff,
-                                          double &p_correctable,
-                                          double &p_uncorrectable) const
+CacheArray::foldLineProbabilities(WeakCellSpan span, std::uint64_t base,
+                                  ProbOf prob_of, double &p_correctable,
+                                  double &p_uncorrectable) const
 {
     // Per-word: probability of a correctable event (1..t flips, where
     // t is the codec's correction radius) and of an uncorrectable one
@@ -215,7 +214,6 @@ CacheArray::computeLineEventProbabilities(std::uint64_t set, unsigned way,
     if (t == 0 || t > maxFoldRadius)
         panic("cache '", geo.name, "': correction radius ", t,
               " outside the per-word fold's supported range");
-    const std::uint64_t base = lineCellBase(set, way);
 
     double e_corr = 0.0;        // Expected correctable events/access.
     double p_no_uncorr = 1.0;   // P(no word raises an uncorrectable).
@@ -239,11 +237,11 @@ CacheArray::computeLineEventProbabilities(std::uint64_t set, unsigned way,
         p_no_uncorr *= (1.0 - multi);
     };
 
-    for (const WeakCell &cell : span) {
-        const double p = cells.failureProbability(cell, v_eff);
+    for (const WeakCell *cell = span.begin(); cell != span.end(); ++cell) {
+        const double p = prob_of(cell);
         if (p <= 0.0)
             continue;
-        const std::uint64_t word = (cell.cellIndex - base) / cw_bits;
+        const std::uint64_t word = (cell->cellIndex - base) / cw_bits;
         if (word != cur_word) {
             fold_word();
             cur_word = word;
@@ -304,69 +302,16 @@ CacheArray::cachedProbabilities(std::uint64_t set, unsigned way,
         return;
     }
 
-    computeLineEventProbabilities(set, way, span, v_eval, p_correctable,
-                                  p_uncorrectable);
+    foldLineProbabilities(
+        span, lineCellBase(set, way),
+        [&](const WeakCell *cell) {
+            return cells.failureProbability(*cell, v_eval);
+        },
+        p_correctable, p_uncorrectable);
     slot.key = key;
     slot.vEval = v_eval;
     slot.pCorrectable = p_correctable;
     slot.pUncorrectable = p_uncorrectable;
-}
-
-void
-CacheArray::foldSpanProbabilities(const WeakCell *first,
-                                  const WeakCell *last, const double *probs,
-                                  std::uint64_t base, double &p_correctable,
-                                  double &p_uncorrectable) const
-{
-    // Same per-word recurrence as computeLineEventProbabilities, with
-    // the per-cell failure probabilities already evaluated (by the
-    // batched Phi kernel) instead of computed inline.
-    const unsigned cw_bits = eccCodec->codewordBits();
-    const unsigned t = eccCodec->correctableBits();
-    if (t == 0 || t > maxFoldRadius)
-        panic("cache '", geo.name, "': correction radius ", t,
-              " outside the per-word fold's supported range");
-
-    double e_corr = 0.0;
-    double p_no_uncorr = 1.0;
-
-    std::uint64_t cur_word = ~std::uint64_t(0);
-    double e[maxFoldRadius + 1] = {1.0, 0.0, 0.0, 0.0};
-
-    auto fold_word = [&]() {
-        if (cur_word == ~std::uint64_t(0))
-            return;
-        double rem = 1.0;
-        for (unsigned k = 0; k <= t; ++k)
-            rem -= e[k];
-        double corr = 0.0;
-        for (unsigned k = 1; k <= t; ++k)
-            corr += e[k];
-        const double multi = std::max(0.0, rem);
-        e_corr += corr;
-        p_no_uncorr *= (1.0 - multi);
-    };
-
-    for (const WeakCell *cell = first; cell != last; ++cell) {
-        const double p = probs[cell - first];
-        if (p <= 0.0)
-            continue;
-        const std::uint64_t word = (cell->cellIndex - base) / cw_bits;
-        if (word != cur_word) {
-            fold_word();
-            cur_word = word;
-            e[0] = 1.0;
-            for (unsigned k = 1; k <= t; ++k)
-                e[k] = 0.0;
-        }
-        for (unsigned k = t; k >= 1; --k)
-            e[k] = e[k] * (1.0 - p) + p * e[k - 1];
-        e[0] *= (1.0 - p);
-    }
-    fold_word();
-
-    p_correctable = e_corr;
-    p_uncorrectable = 1.0 - p_no_uncorr;
 }
 
 void
@@ -405,13 +350,16 @@ CacheArray::aggregateEventRates(Millivolt v_eff, double &sum_correctable,
         const auto &[begin, end] = lineWeakIndex[line];
         if (begin == end)
             continue;
+        const WeakCell *first = base_cell + begin;
+        const double *probs = phiScratch.data() + begin;
         double p_corr = 0.0, p_uncorr = 0.0;
-        foldSpanProbabilities(base_cell + begin, base_cell + end,
-                              phiScratch.data() + begin,
-                              line * geo.cellsPerLine(), p_corr, p_uncorr);
+        foldLineProbabilities(
+            WeakCellSpan(first, base_cell + end), line * geo.cellsPerLine(),
+            [&](const WeakCell *cell) { return probs[cell - first]; },
+            p_corr, p_uncorr);
         // Correctable: expected events add. Uncorrectable: the per-line
         // probability accumulates as a hazard rate, the same
-        // approximation the core traffic model's batched mode uses.
+        // approximation Core::tickRates uses.
         sum_correctable += p_corr;
         sum_uncorrectable += p_uncorr;
     }

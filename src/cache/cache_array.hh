@@ -153,8 +153,8 @@ class CacheArray
      * Whole-array aggregate event rates at the bucket center of
      * v_eff's quantization bucket: the sum over every weak line of the
      * per-access expected correctable events and of the per-access
-     * uncorrectable probability (used as a hazard rate, matching the
-     * core traffic model's per-array accumulation). Backed by a small
+     * uncorrectable probability (used as a hazard rate, matching
+     * Core::tickRates' per-array rate memo). Backed by a small
      * per-bucket cache invalidated by the SRAM generation, so a
      * steady-rail sweep costs two loads per pass instead of a walk
      * over every weak line. The fill is a vectorized fold — one
@@ -356,20 +356,17 @@ class CacheArray
                              double &p_correctable,
                              double &p_uncorrectable) const;
 
-    /** The exact fold over one line's weak cells (no caching). */
-    void computeLineEventProbabilities(std::uint64_t set, unsigned way,
-                                       WeakCellSpan span, Millivolt v_eff,
-                                       double &p_correctable,
-                                       double &p_uncorrectable) const;
-
     /**
-     * The same per-word fold over cells [first, last) with failure
-     * probabilities already evaluated into @p probs (one per cell).
-     * Used by the vectorized whole-array path.
+     * The per-word ECC fold over one line's weak cells (no caching):
+     * expected correctable events and uncorrectable probability per
+     * access. @p prob_of maps a cell pointer of @p span to its failure
+     * probability — evaluated inline (the LUT paths) or read from a
+     * batch already evaluated by the vectorized Phi kernel (the
+     * whole-array aggregate). @p base is the line's first cell index.
      */
-    void foldSpanProbabilities(const WeakCell *first, const WeakCell *last,
-                               const double *probs, std::uint64_t base,
-                               double &p_correctable,
+    template <typename ProbOf>
+    void foldLineProbabilities(WeakCellSpan span, std::uint64_t base,
+                               ProbOf prob_of, double &p_correctable,
                                double &p_uncorrectable) const;
 
     /** Shared body of the two readLine overloads (defined in the .cc;

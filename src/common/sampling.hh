@@ -1,9 +1,8 @@
 /**
  * @file
- * Fault-sampling fidelity knob shared by the sweep engines, the core
- * traffic model, the Simulator and the Fleet. This header is the one
- * place that knows the mode set: its names (CLI values) and its
- * snapshot encoding.
+ * Fault-sampling fidelity knob shared by the sweep engines, the
+ * Simulator and the Fleet. This header is the one place that knows the
+ * mode set: its names (CLI values) and its snapshot encoding.
  *
  * The exact mode reproduces the historical draw-for-draw behaviour:
  * one Poisson/binomial draw per weak line per tick (or per pattern
@@ -44,14 +43,11 @@ enum class SamplingMode
     exact = 0,
     /**
      * Chip/slice-granularity batching: one aggregate correctable draw
-     * and one survival draw per chip per tick when every array of the
-     * chip sits in the same quantization bucket (per-fleet-slice
-     * bucket pooling in ShardedFleet), with bucket-center (quantized)
-     * probability evaluation. A tick whose domains straddle a bucket
-     * edge demotes to per-array batching inside Core::tick: one
-     * aggregate draw pair per array instead of one per weak line.
-     * Events are attributed back to cores by apportionment; per-line
-     * ECC event-log attribution is skipped.
+     * and one survival draw per chip per tick over every core's rates,
+     * each taken at the center of its own domain's quantization bucket
+     * (per-fleet-slice bucket pooling in ShardedFleet). Events are
+     * attributed back to cores by apportionment; per-line ECC
+     * event-log attribution is skipped.
      */
     chipBatched = 2,
 };

@@ -1,7 +1,5 @@
 #include "cpu/core_model.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 #include "common/mathutil.hh"
 #include "snapshot/state_io.hh"
@@ -131,6 +129,25 @@ Core::workloadSampleAt(Seconds t) const
     return appWorkload->sampleAt(t - workloadStart);
 }
 
+double
+Core::touchWeight(const CacheArray &array, unsigned slot,
+                  const WeakLineInfo &line) const
+{
+    const std::uint64_t line_key =
+        line.set * array.geometry().associativity + line.way;
+    auto &weight_cache = touchWeightCache[slot];
+    auto cached = weight_cache.find(line_key);
+    if (cached == weight_cache.end()) {
+        cached = weight_cache
+                     .emplace(line_key,
+                              appWorkload->lineTouchWeight(
+                                  array.geometry().name, line.set,
+                                  line.way, array.geometry().numLines()))
+                     .first;
+    }
+    return cached->second;
+}
+
 std::uint64_t
 Core::sampleTraffic(CacheArray &array,
                     const std::vector<WeakLineInfo> &lines,
@@ -144,20 +161,7 @@ Core::sampleTraffic(CacheArray &array,
     // Lines whose weakest cell sits more than ~6 sigma below the
     // effective supply cannot produce observable events.
     const Millivolt cutoff = v_eff - 6.0 * sigma_dyn;
-
-    auto &weight_cache = touchWeightCache[arraySlot(array)];
-
-    // chipBatched cores ticked individually (e.g. when the chip's
-    // domains straddle a bucket edge) demote to per-array batching.
-    const bool batched = samplingMode != SamplingMode::exact;
-    // Per-array batching: per-line Poisson rates superpose into one
-    // aggregate correctable rate (sum of independent Poissons is
-    // Poisson) and the per-line uncorrectable survival probabilities
-    // fold into one product, so the whole array costs two draws per
-    // tick instead of two per weak line. Per-line event-log
-    // attribution is skipped.
-    double lambda_corr = 0.0;
-    double lambda_uncorr = 0.0;
+    const unsigned slot = arraySlot(array);
 
     std::uint64_t correctable = 0;
     for (const auto &line : lines) {
@@ -166,32 +170,12 @@ Core::sampleTraffic(CacheArray &array,
         if (array.isDeconfigured(line.set, line.way))
             continue;
 
-        const std::uint64_t line_key =
-            line.set * array.geometry().associativity + line.way;
-        auto cached = weight_cache.find(line_key);
-        if (cached == weight_cache.end()) {
-            cached = weight_cache
-                         .emplace(line_key,
-                                  appWorkload->lineTouchWeight(
-                                      array.geometry().name, line.set,
-                                      line.way,
-                                      array.geometry().numLines()))
-                         .first;
-        }
-        const double weight = cached->second;
-        const double line_accesses = accesses * weight;
+        const double line_accesses =
+            accesses * touchWeight(array, slot, line);
         if (line_accesses <= 0.0)
             continue;
 
         double p_corr = 0.0, p_uncorr = 0.0;
-        if (batched) {
-            array.lineEventProbabilitiesQuantized(line.set, line.way,
-                                                  v_eff, p_corr,
-                                                  p_uncorr);
-            lambda_corr += line_accesses * p_corr;
-            lambda_uncorr += line_accesses * p_uncorr;
-            continue;
-        }
         array.lineEventProbabilities(line.set, line.way, v_eff, p_corr,
                                      p_uncorr);
 
@@ -222,18 +206,6 @@ Core::sampleTraffic(CacheArray &array,
                 event.time = t;
                 log->record(event);
             }
-        }
-    }
-
-    if (batched) {
-        // One aggregate draw per event class; per-line log attribution
-        // is not available in this mode, so nothing is recorded.
-        if (lambda_corr > 0.0)
-            correctable = rng.poisson(lambda_corr);
-        // P(any uncorrectable) = 1 - exp(-sum of per-line rates).
-        if (lambda_uncorr > 0.0 &&
-            rng.bernoulli(-std::expm1(-lambda_uncorr))) {
-            uncorrectable = true;
         }
     }
     return correctable;
@@ -270,26 +242,13 @@ Core::cachedRates(CacheArray &array,
     const Millivolt v_eval = Millivolt(bucket) * CacheArray::probQuantMv;
     const Millivolt cutoff = v_eval - 6.0 * sigma_dyn;
 
-    auto &weight_cache = touchWeightCache[slot];
     for (const auto &line : lines) {
         if (line.weakestVc < cutoff)
             break;  // Sorted weakest-first.
         if (array.isDeconfigured(line.set, line.way))
             continue;
 
-        const std::uint64_t line_key =
-            line.set * array.geometry().associativity + line.way;
-        auto cached = weight_cache.find(line_key);
-        if (cached == weight_cache.end()) {
-            cached = weight_cache
-                         .emplace(line_key,
-                                  appWorkload->lineTouchWeight(
-                                      array.geometry().name, line.set,
-                                      line.way,
-                                      array.geometry().numLines()))
-                         .first;
-        }
-        const double weight = cached->second;
+        const double weight = touchWeight(array, slot, line);
         if (weight <= 0.0)
             continue;
 

@@ -30,7 +30,6 @@
 
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
-#include "common/sampling.hh"
 #include "cpu/operating_point.hh"
 #include "variation/process_variation.hh"
 #include "workload/workload.hh"
@@ -141,13 +140,14 @@ class Core
      * crash-floor check and activity accounting run exactly as in
      * tick(), but instead of drawing events the core adds this tick's
      * aggregate correctable rate and uncorrectable hazard (at the
-     * quantized bucket-center voltage) to the two accumulators. The
-     * caller (Simulator's chip-granularity branch) performs one
-     * superposed Poisson draw and one survival draw for the whole
-     * chip and attributes events back by thinning. Backed by a
-     * per-array rate cache keyed on the voltage bucket, the SRAM
-     * generation and the deconfiguration generation, so steady-rail
-     * ticks cost three cache hits instead of a weak-line walk.
+     * center of v_eff's quantization bucket) to the two accumulators.
+     * The Simulator calls it every chip-batched tick, each core at its
+     * own domain's v_eff, then performs one superposed Poisson draw
+     * and one survival draw for the whole chip and attributes events
+     * back by thinning. Backed by a per-array rate cache keyed on the
+     * voltage bucket, the SRAM generation and the deconfiguration
+     * generation, so steady-rail ticks cost three cache hits instead
+     * of a weak-line walk.
      */
     CoreTickResult tickRates(Seconds t, Seconds dt, Millivolt v_eff,
                              double &lambda_corr, double &lambda_uncorr);
@@ -168,19 +168,6 @@ class Core
      * arrays under the model's feet).
      */
     void refreshWeakLines();
-
-    /**
-     * Traffic-sampling fidelity (default exact). A chipBatched core
-     * ticked on its own (the Simulator's demotion path when a chip's
-     * domains straddle a bucket edge) collapses each array's weak-line
-     * event draws for a tick into one aggregate Poisson draw
-     * (correctables) and one survival-product Bernoulli
-     * (uncorrectables) at quantized voltage; per-line event log
-     * attribution is skipped. Normally set through
-     * Simulator::setSamplingMode.
-     */
-    void setSamplingMode(SamplingMode mode) { samplingMode = mode; }
-    SamplingMode sampling() const { return samplingMode; }
 
     /** Sorted (weakest-first) weak lines of each monitored array. */
     const std::vector<WeakLineInfo> &weakLinesOf(
@@ -208,7 +195,6 @@ class Core
     Seconds workloadStart = 0.0;
 
     CrashReason crashReason = CrashReason::none;
-    SamplingMode samplingMode = SamplingMode::exact;
 
     /** Cached weak lines, parallel to {l2i, l2d, rf}. */
     std::array<std::vector<WeakLineInfo>, 3> weakLines;
@@ -246,8 +232,13 @@ class Core
 
     unsigned arraySlot(const CacheArray &array) const;
 
+    /** Memoized touch weight of @p line in the array at @p slot. */
+    double touchWeight(const CacheArray &array, unsigned slot,
+                       const WeakLineInfo &line) const;
+
     /**
-     * Sample ECC events from traffic on one array.
+     * Sample ECC events from traffic on one array: one Poisson draw per
+     * touched weak line, each recorded in @p log if non-null.
      * @return number of correctable events; sets uncorrectable flag.
      */
     std::uint64_t sampleTraffic(CacheArray &array,

@@ -50,14 +50,6 @@ Simulator::attachFaultInjector(FaultInjector *fault_injector)
 }
 
 void
-Simulator::setSamplingMode(SamplingMode mode)
-{
-    samplingMode_ = mode;
-    for (unsigned c = 0; c < chip_->numCores(); ++c)
-        chip_->core(c).setSamplingMode(mode);
-}
-
-void
 Simulator::enableTrace(Seconds interval)
 {
     if (interval <= 0.0)
@@ -141,30 +133,7 @@ Simulator::step(Seconds dt)
             injection.events;
         traceWorkloadErrors += injection.events;
     }
-    // Chip-granularity batching applies only on ticks where every
-    // domain's effective voltage lands in the same probability-LUT
-    // bucket (so one bucket-center rate sum is valid chip-wide); a
-    // tick whose domains straddle a bucket edge falls through to the
-    // per-domain loop, where chipBatched cores demote to per-array
-    // batching.
-    bool chip_aggregate = false;
-    if (samplingMode_ == SamplingMode::chipBatched &&
-        chip_->numDomains() > 0) {
-        std::vector<Millivolt> &veff = domainVeffScratch;
-        veff.resize(chip_->numDomains());
-        chip_aggregate = true;
-        std::int64_t bucket = 0;
-        for (unsigned d = 0; d < chip_->numDomains(); ++d) {
-            veff[d] = chip_->domain(d).effectiveVoltage(chip_->pdn());
-            const std::int64_t b = CacheArray::probBucketIndex(veff[d]);
-            if (d == 0)
-                bucket = b;
-            else if (b != bucket)
-                chip_aggregate = false;
-        }
-    }
-
-    if (chip_aggregate) {
+    if (samplingMode_ == SamplingMode::chipBatched) {
         stepChipAggregate(t, dt, domainEvents);
     } else {
         for (unsigned d = 0; d < chip_->numDomains(); ++d) {
@@ -345,9 +314,16 @@ void
 Simulator::stepChipAggregate(Seconds t, Seconds dt,
                              std::vector<std::uint64_t> &domainEvents)
 {
+    domainVeffScratch.resize(chip_->numDomains());
+    for (unsigned d = 0; d < chip_->numDomains(); ++d)
+        domainVeffScratch[d] =
+            chip_->domain(d).effectiveVoltage(chip_->pdn());
+
     // 3. Per-core rate accumulation (no draws): crashed cores and
     // logic-floor crashes are handled inside tickRates exactly as in
-    // tick().
+    // tick(). Each core's rates come from its own domain's voltage, so
+    // domains at different rails superpose like any other independent
+    // Poisson processes.
     coreLambdaCorr.assign(chip_->numCores(), 0.0);
     coreLambdaUnc.assign(chip_->numCores(), 0.0);
     double chip_corr = 0.0, chip_unc = 0.0;
@@ -365,8 +341,8 @@ Simulator::stepChipAggregate(Seconds t, Seconds dt,
 
     // One superposed Poisson draw for the whole chip's correctable
     // events, apportioned back to cores by largest remainder. Per-line
-    // event-log attribution is unavailable at this granularity (as on
-    // the per-array path, nothing is recorded in the event log).
+    // event-log attribution is unavailable at this granularity, so
+    // nothing is recorded in the event log.
     if (chip_corr > 0.0) {
         const std::uint64_t total = simRng.poisson(chip_corr);
         if (total > 0) {

@@ -79,18 +79,15 @@ class Simulator
     const Trace &trace() const { return trace_; }
 
     /**
-     * Switch every core's traffic-sampling fidelity (default exact).
-     * Chip-batched mode: on ticks where every domain's effective
-     * voltage falls in the same probability-LUT bucket, all cores'
-     * rates superpose into ONE whole-chip Poisson draw plus one
+     * Traffic-sampling fidelity (default exact). Chip-batched mode:
+     * every tick, all cores' rates, each at its own domain's effective
+     * voltage, superpose into ONE whole-chip Poisson draw plus one
      * survival draw, with events apportioned back to cores by largest
-     * remainder; ticks whose domains straddle a bucket edge demote to
-     * per-array batching (one aggregate Poisson/Bernoulli pair per
-     * array). Same event-count distribution, different RNG draw
+     * remainder. Same event-count distribution, different RNG draw
      * sequence (see common/sampling.hh), so it is opt-in for
      * sweep/fleet drivers that only consume aggregate statistics.
      */
-    void setSamplingMode(SamplingMode mode);
+    void setSamplingMode(SamplingMode mode) { samplingMode_ = mode; }
     SamplingMode samplingMode() const { return samplingMode_; }
 
     /** Advance the simulation. */

@@ -178,8 +178,9 @@ TEST(CacheArray, WeakLinesSortedAndComplete)
     ASSERT_FALSE(lines.empty());
     std::size_t cells = 0;
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(lines[i].weakestVc, lines[i - 1].weakestVc);
+        }
         cells += lines[i].weakCellCount;
         EXPECT_EQ(array.lineWeakCells(lines[i].set, lines[i].way).size(),
                   lines[i].weakCellCount);
@@ -248,8 +249,9 @@ TEST(Cache, LruEvictsOldest)
     cache.access(geo.associativity * span, 800.0, draw);  // Evicts.
     EXPECT_FALSE(cache.probeTag(addrs[1]));
     for (std::uint64_t a : addrs) {
-        if (a != addrs[1])
+        if (a != addrs[1]) {
             EXPECT_TRUE(cache.probeTag(a));
+        }
     }
 }
 

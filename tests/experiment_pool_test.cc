@@ -105,8 +105,9 @@ TEST(ExperimentPool, TaskSeedsDependOnlyOnBatchSeedAndIndex)
         ASSERT_TRUE(seeds[i].ok());
         EXPECT_EQ(*seeds[i].value, mix64(std::uint64_t(7), i));
         // Adjacent task seeds must be decorrelated, not sequential.
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(*seeds[i].value ^ *seeds[i - 1].value, 1u);
+        }
     }
 }
 

@@ -421,91 +421,102 @@ TEST(BatchedCore, TickRatesMatchExactTickExpectation)
     EXPECT_NEAR(double(exact_total), lambda_corr_total, tolerance);
 }
 
-TEST(ChipBatchedSimulator, EventTotalsStatisticallyMatchExact)
+/** What one parked-rail chip run realized. */
+struct ParkedRun
 {
-    // Two identically seeded chips, rails parked at the weakest-line
-    // voltage, no control feedback: the exact per-line tick stream and
-    // the one-draw-per-chip aggregate path must realize the same event
-    // totals within Poisson-scale noise.
-    const auto run = [](SamplingMode mode) -> std::uint64_t {
-        ChipConfig cfg;
-        cfg.seed = 77;
-        Chip chip(cfg);
-        harness::assignSuite(chip, Suite::stress, 10.0);
+    std::uint64_t events = 0;
+    /** Ticks whose domains' effective voltages span several buckets. */
+    std::uint64_t straddleTicks = 0;
+    bool crashed = false;
+};
 
-        Millivolt weakest = 0.0;
-        for (unsigned c = 0; c < chip.numCores(); ++c) {
-            weakest = std::max(
-                weakest, chip.core(c).l2dArray().weakestLine().weakestVc);
-            weakest = std::max(
-                weakest, chip.core(c).l2iArray().weakestLine().weakestVc);
+/**
+ * Uncontrolled 20 s run of a seeded chip whose domain d is parked at
+ * the weakest-line voltage plus @p base_mv + d * @p step_mv.
+ */
+ParkedRun
+parkedChipRun(SamplingMode mode, Millivolt base_mv, Millivolt step_mv)
+{
+    ChipConfig cfg;
+    cfg.seed = 77;
+    Chip chip(cfg);
+    harness::assignSuite(chip, Suite::stress, 10.0);
+
+    Millivolt weakest = 0.0;
+    for (unsigned c = 0; c < chip.numCores(); ++c) {
+        weakest = std::max(
+            weakest, chip.core(c).l2dArray().weakestLine().weakestVc);
+        weakest = std::max(
+            weakest, chip.core(c).l2iArray().weakestLine().weakestVc);
+    }
+    for (unsigned d = 0; d < chip.numDomains(); ++d)
+        chip.domain(d).regulator().request(weakest + base_mv +
+                                           d * step_mv);
+
+    Simulator sim(chip, 0.005);
+    sim.setSamplingMode(mode);
+    ParkedRun out;
+    sim.addHook([&](Seconds, Seconds) {
+        const std::int64_t first = CacheArray::probBucketIndex(
+            chip.domain(0).effectiveVoltage(chip.pdn()));
+        for (unsigned d = 1; d < chip.numDomains(); ++d) {
+            if (CacheArray::probBucketIndex(chip.domain(d).effectiveVoltage(
+                    chip.pdn())) != first) {
+                ++out.straddleTicks;
+                return;
+            }
         }
-        for (unsigned d = 0; d < chip.numDomains(); ++d)
-            chip.domain(d).regulator().request(weakest + 5.0);
+    });
+    sim.run(20.0);
 
-        Simulator sim(chip, 0.005);
-        sim.setSamplingMode(mode);
-        sim.run(5.0);
-
-        std::uint64_t total = 0;
-        for (unsigned c = 0; c < chip.numCores(); ++c)
-            total += sim.coreCorrectableEvents(c);
-        return total;
-    };
-
-    const std::uint64_t exact_total = run(SamplingMode::exact);
-    const std::uint64_t chip_total = run(SamplingMode::chipBatched);
-
-    ASSERT_GT(exact_total, 0u);
-    ASSERT_GT(chip_total, 0u);
-    const double mean = 0.5 * double(exact_total + chip_total);
-    const double tolerance = 6.0 * std::sqrt(2.0 * mean);
-    EXPECT_NEAR(double(exact_total), double(chip_total), tolerance);
+    for (unsigned c = 0; c < chip.numCores(); ++c)
+        out.events += sim.coreCorrectableEvents(c);
+    out.crashed = sim.anyCrashed();
+    return out;
 }
 
-TEST(BatchedCore, TrafficStatisticallyEquivalentToExact)
+/**
+ * Two identically seeded parked runs, exact and chip-batched, must see
+ * @p straddle_ticks ticks whose domains span several buckets, no
+ * crash, and event totals equal within Poisson-scale noise.
+ */
+void
+expectParkedRunsAgree(Millivolt base_mv, Millivolt step_mv,
+                      std::uint64_t straddle_ticks)
 {
-    VariationModel variation(42);
-    Rng build_rng(1);
-    Core::Config cfg;
-    cfg.coreId = 0;
-    Core core(cfg, variation, build_rng);
-    core.setWorkload(benchmarks::suiteSequence(Suite::stress, 10.0));
+    const ParkedRun exact =
+        parkedChipRun(SamplingMode::exact, base_mv, step_mv);
+    const ParkedRun chip =
+        parkedChipRun(SamplingMode::chipBatched, base_mv, step_mv);
 
-    const Millivolt weakest =
-        std::max(core.l2iArray().weakestLine().weakestVc,
-                 core.l2dArray().weakestLine().weakestVc);
-    const Millivolt v = std::round(weakest / CacheArray::probQuantMv) *
-                        CacheArray::probQuantMv;
-
-    constexpr int ticks = 4000;
-    constexpr Seconds dt = 0.01;
-
-    Rng draw_exact(23);
-    std::uint64_t exact_total = 0;
-    EXPECT_EQ(core.sampling(), SamplingMode::exact);
-    for (int i = 0; i < ticks; ++i) {
-        exact_total +=
-            core.tick(i * dt, dt, v, draw_exact).correctableEvents;
-        core.clearCrash();
-    }
-
-    // A chipBatched core ticked on its own takes the per-array batched
-    // path (the Simulator's demotion path).
-    core.setSamplingMode(SamplingMode::chipBatched);
-    Rng draw_batched(29);
-    std::uint64_t batched_total = 0;
-    for (int i = 0; i < ticks; ++i) {
-        batched_total +=
-            core.tick(i * dt, dt, v, draw_batched).correctableEvents;
-        core.clearCrash();
-    }
-
-    ASSERT_GT(exact_total, 0u);
-    ASSERT_GT(batched_total, 0u);
-    const double mean = 0.5 * double(exact_total + batched_total);
+    EXPECT_EQ(exact.straddleTicks, straddle_ticks);
+    EXPECT_EQ(chip.straddleTicks, straddle_ticks);
+    // No core stops early, and enough events for the 6 sigma band to
+    // mean something.
+    EXPECT_FALSE(exact.crashed);
+    EXPECT_FALSE(chip.crashed);
+    ASSERT_GT(exact.events, 300u);
+    ASSERT_GT(chip.events, 300u);
+    const double mean = 0.5 * double(exact.events + chip.events);
     const double tolerance = 6.0 * std::sqrt(2.0 * mean);
-    EXPECT_NEAR(double(exact_total), double(batched_total), tolerance);
+    EXPECT_NEAR(double(exact.events), double(chip.events), tolerance);
+}
+
+TEST(ChipBatchedSimulator, EventTotalsStatisticallyMatchExact)
+{
+    // Every rail parked at one voltage, no control feedback: all
+    // domains share one bucket on every tick.
+    expectParkedRunsAgree(-25.0, 0.0, 0);
+}
+
+TEST(ChipBatchedSimulator, StraddlingDomainsMatchExact)
+{
+    // Domains parked one regulator step (5 mV) apart, so the effective
+    // voltages of every tick after the first (which runs before the
+    // rails slew apart) span several buckets: the chip-wide draw
+    // superposes rates taken at each domain's own bucket and must
+    // still match the exact per-line stream.
+    expectParkedRunsAgree(-30.0, 5.0, 3999);
 }
 
 } // namespace
